@@ -216,9 +216,6 @@ func (s *Server) schedules(ncores int) []schedule {
 			sc.executing[2*shareSock] = run
 			sc.weight = 0.5
 			sc.shared = 1
-			if s.cores[run] == nil { // empty slot: nothing to alternate
-				sc.weight = 0.5
-			}
 			out = append(out, sc)
 		}
 		return out

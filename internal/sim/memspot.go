@@ -9,6 +9,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dramtherm/internal/dtm"
@@ -125,8 +126,35 @@ func (r MEMSpotResult) TotalTrafficGB() float64 { return r.ReadGB + r.WriteGB }
 // job is one batch entry.
 type job struct {
 	prof      *workload.Profile
+	slot      uint8 // index of prof in MEMSpot.profs
 	remaining float64
 	total     float64
+}
+
+// maxKeyCores and maxSlots bound what a dpKey can describe: the cores of
+// the machine and the distinct profiles of one run.
+const (
+	maxKeyCores = 16
+	maxSlots    = math.MaxUint8
+)
+
+// dpKey identifies a window's design point within one run, without
+// strings: the profile slot running on each core (slot+1; 0 for an idle
+// or gated core), the bandwidth cap's bits, and the clamped DVFS index
+// shifted left of the memory-off bit. Equal keys canonicalize to equal
+// trace.DesignPoints, so the key can stand in for the store's. The key
+// has no padding, so the map hashes it as one block of memory.
+type dpKey struct {
+	slots   [maxKeyCores]uint8
+	capBits uint64
+	mode    uint64
+}
+
+// dpEntry is a resolved design point: the cores running under it, in
+// core order, and each one's per-instance rates.
+type dpEntry struct {
+	running []int
+	apps    []trace.AppRates
 }
 
 // MEMSpot is the level-2 simulator instance.
@@ -137,32 +165,42 @@ type MEMSpot struct {
 	model   *thermal.Model
 	amb     *thermal.AmbientModel
 	sensor  *thermal.Sensor
-	queue   []*workload.Profile
+	profs   []*workload.Profile // slot → profile: the mix, then any Restore adds
+	queue   []uint8             // pending profile slots, in dispatch order
 	cores   []*job
 	act     dtm.Action
-	hot     bool // currently in an overshoot episode
+	freqIdx int     // act.FreqIndex clamped to the DVFS table
+	hot     bool    // currently in an overshoot episode
+	topAMB  float64 // hottest AMB temperature after the last window
+	topDRAM float64 // hottest DRAM temperature after the last window
 	rot     int
 	now     float64
 	nextDTM float64
 	nextRot float64
 	nextRec float64
 
-	// Hot-loop scratch state, reused across windows so the steady-state
-	// step allocates nothing: the precomputed channel power model, the
-	// power/gating/activity buffers, and a one-entry design-point → rates
-	// memo (windows overwhelmingly repeat the previous window's design
-	// point, so most steps skip the store lock and key canonicalization).
+	// Hot-loop state, reused across windows so the steady-state step
+	// allocates nothing and touches no string: the precomputed channel
+	// power model and DVFS processor power, the power/gating/activity
+	// buffers, the current window's design-point key (its slots are
+	// recomputed only when a job starts or the gating changes, the rest
+	// when the action changes), the run's table of resolved design points
+	// (the store and key canonicalization are met once per distinct
+	// point, not once per window), and the residency accumulators behind
+	// res.TimeAtCores (index: running cores) and res.TimeAtFreq (index:
+	// DVFS level), written into those maps by result.
 	chanModel   *power.ChannelModel
+	dvfsWatt    []float64 // processor power at each DVFS level, cores running
 	pwBuf       []power.DIMMPower
 	gatedBuf    []bool
-	namesBuf    []string
-	runningBuf  []int
 	activityBuf []thermal.CoreActivity
-	lastNames   []string
-	lastApps    string
-	lastDP      trace.DesignPoint
-	lastRates   trace.Rates
-	haveLast    bool
+	key         dpKey
+	slotsStale  bool // a job started or ended since key.slots was computed
+	gatedRot    int  // rotation key.slots was computed for
+	gatedActive int  // ActiveCores key.slots was computed for
+	points      map[dpKey]*dpEntry
+	atCores     []float64
+	atFreq      []float64
 
 	steps     int64 // windows on the simulated timeline (inherited on Restore)
 	decisions int   // DTM decisions taken so far; index of the next decision
@@ -179,12 +217,18 @@ func NewMEMSpot(cfg MEMSpotConfig, store *trace.Store) (*MEMSpot, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("sim: nil policy")
 	}
+	if cfg.Params.Cores > maxKeyCores {
+		return nil, fmt.Errorf("sim: %d cores exceed the level-2 limit of %d", cfg.Params.Cores, maxKeyCores)
+	}
 	profs, err := cfg.Mix.Profiles()
 	if err != nil {
 		return nil, err
 	}
+	if len(profs) > maxSlots {
+		return nil, fmt.Errorf("sim: mix %s has %d applications, over the level-2 limit of %d", cfg.Mix.Name, len(profs), maxSlots)
+	}
 
-	m := &MEMSpot{cfg: cfg, store: store}
+	m := &MEMSpot{cfg: cfg, store: store, profs: profs}
 	inlet := cfg.Ambient.Inlet(cfg.Cooling)
 	m.amb = thermal.NewAmbientModel(cfg.Ambient, inlet)
 	idle := power.DIMMPower{
@@ -201,11 +245,19 @@ func NewMEMSpot(cfg MEMSpotConfig, store *trace.Store) (*MEMSpot, error) {
 		return nil, err
 	}
 	m.chanModel = cm
+	m.dvfsWatt = make([]float64, len(cfg.DVFS))
+	for f, lv := range cfg.DVFS {
+		m.dvfsWatt[f] = power.CPUWatts(cfg.CPU, power.CPUState{
+			ActiveCores: 1, TotalCores: cfg.Params.Cores, Level: lv, UseDVFS: true,
+		})
+	}
 
 	// Batch queue: Replicas rounds of the mix in round-robin order
 	// (§4.3.2: jobs assigned to freed cores round-robin).
 	for r := 0; r < cfg.Replicas; r++ {
-		m.queue = append(m.queue, profs...)
+		for slot := range profs {
+			m.queue = append(m.queue, uint8(slot))
+		}
 	}
 	m.cores = make([]*job, cfg.Params.Cores)
 	for i := range m.cores {
@@ -213,22 +265,28 @@ func NewMEMSpot(cfg MEMSpotConfig, store *trace.Store) (*MEMSpot, error) {
 	}
 
 	cfg.Policy.Reset()
-	m.act = dtm.Action{BWCapGBps: dtm.NoCap(), ActiveCores: cfg.Params.Cores}
+	m.setAction(dtm.Action{BWCapGBps: dtm.NoCap(), ActiveCores: cfg.Params.Cores})
 	m.res.TimeAtCores = make(map[int]float64)
 	m.res.TimeAtFreq = make(map[int]float64)
+	m.points = make(map[dpKey]*dpEntry)
+	m.atCores = make([]float64, len(m.cores)+1)
+	m.atFreq = make([]float64, len(cfg.DVFS))
+	m.readHottest()
 	return m, nil
 }
 
 // dispatch pops the next job onto core i, if any.
 func (m *MEMSpot) dispatch(i int) {
+	m.slotsStale = true
 	if len(m.queue) == 0 {
 		m.cores[i] = nil
 		return
 	}
-	p := m.queue[0]
+	slot := m.queue[0]
 	m.queue = m.queue[1:]
+	p := m.profs[slot]
 	total := p.Instructions() * m.cfg.InstrScale
-	m.cores[i] = &job{prof: p, remaining: total, total: total}
+	m.cores[i] = &job{prof: p, slot: slot, remaining: total, total: total}
 }
 
 // done reports batch completion.
@@ -242,6 +300,47 @@ func (m *MEMSpot) done() bool {
 		}
 	}
 	return true
+}
+
+// readHottest caches the model's hottest AMB and DRAM temperatures, which
+// the next DTM decision, the running maxima and the trace sampler read.
+func (m *MEMSpot) readHottest() {
+	m.topAMB, m.topDRAM = m.model.HottestAMB(), m.model.HottestDRAM()
+}
+
+// setAction installs a DTM action and the parts of the design-point key
+// it determines: the clamped DVFS index, the bandwidth cap and MemOff.
+func (m *MEMSpot) setAction(a dtm.Action) {
+	m.act = a
+	f := a.FreqIndex
+	if f < 0 {
+		f = 0
+	}
+	if f >= len(m.cfg.DVFS) {
+		f = len(m.cfg.DVFS) - 1
+	}
+	m.freqIdx = f
+	m.key.capBits = math.Float64bits(a.BWCapGBps)
+	m.key.mode = uint64(f) << 1
+	if a.MemOff {
+		m.key.mode |= 1
+	}
+}
+
+// regate brings the per-core key slots up to date with the jobs and with
+// the cores gated under the current action and rotation.
+func (m *MEMSpot) regate() {
+	if !m.slotsStale && m.rot == m.gatedRot && m.act.ActiveCores == m.gatedActive {
+		return
+	}
+	gated := m.gatedSet()
+	for i, j := range m.cores {
+		m.key.slots[i] = 0
+		if j != nil && !gated[i] {
+			m.key.slots[i] = j.slot + 1
+		}
+	}
+	m.slotsStale, m.gatedRot, m.gatedActive = false, m.rot, m.act.ActiveCores
 }
 
 // gatedSet returns which cores are gated under the current action with
@@ -269,26 +368,61 @@ func (m *MEMSpot) gatedSet() []bool {
 	return gated
 }
 
-// canonApps returns trace.CanonApps(names), memoized on the previous
-// window's name sequence: consecutive windows almost always run the
-// same jobs in the same core order, so the sort+join and its
-// allocations are skipped in steady state.
-func (m *MEMSpot) canonApps(names []string) string {
-	if len(names) == len(m.lastNames) {
-		same := true
-		for i := range names {
-			if names[i] != m.lastNames[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return m.lastApps
+// resolve returns the table entry of the window's design point: the
+// ungated cores' jobs under the current action. Only the first window of
+// a run to meet a design point canonicalizes its application names and
+// asks the store for its rates.
+func (m *MEMSpot) resolve() (*dpEntry, error) {
+	m.regate()
+	if e := m.points[m.key]; e != nil {
+		return e, nil
+	}
+	e := &dpEntry{}
+	var names []string
+	for i, s := range m.key.slots[:len(m.cores)] {
+		if s != 0 {
+			e.running = append(e.running, i)
+			names = append(names, m.profs[s-1].Name)
 		}
 	}
-	m.lastNames = append(m.lastNames[:0], names...)
-	m.lastApps = trace.CanonApps(names)
-	return m.lastApps
+	rates, err := m.store.Get(trace.DesignPoint{
+		Apps:      trace.CanonApps(names),
+		FreqGHz:   m.cfg.DVFS[m.freqIdx].FreqGHz,
+		BWCapGBps: m.act.BWCapGBps,
+		MemOff:    m.act.MemOff,
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.apps = make([]trace.AppRates, len(names))
+	for n, name := range names {
+		e.apps[n] = rates.PerApp[name]
+	}
+	m.points[m.key] = e
+	return e, nil
+}
+
+// flushResidency writes the residency slices into the result's maps. A
+// slot that no window reached stays out of its map, as it would if each
+// window wrote the map directly.
+func (m *MEMSpot) flushResidency() {
+	for n, s := range m.atCores {
+		if s != 0 {
+			m.res.TimeAtCores[n] = s
+		}
+	}
+	for f, s := range m.atFreq {
+		if s != 0 {
+			m.res.TimeAtFreq[f] = s
+		}
+	}
+}
+
+// result returns the accumulator as of the current window.
+func (m *MEMSpot) result() MEMSpotResult {
+	m.flushResidency()
+	m.res.Seconds = m.now
+	return m.res
 }
 
 // Run executes the batch to completion (or MaxSeconds) and returns the
@@ -333,10 +467,12 @@ func (m *MEMSpot) RunCtx(ctx context.Context) (MEMSpotResult, error) {
 // simulator between policy decisions; a hook error aborts the run. A nil
 // hook makes RunHooked identical to RunCtx.
 func (m *MEMSpot) RunHooked(ctx context.Context, hook func(*MEMSpot) error) (MEMSpotResult, error) {
+	cancel := ctx.Done()
 	for !m.done() {
-		if err := ctx.Err(); err != nil {
-			m.res.Seconds = m.now
-			return m.res, err
+		select {
+		case <-cancel:
+			return m.result(), ctx.Err()
+		default:
 		}
 		if m.now >= m.cfg.MaxSeconds {
 			m.res.TimedOut = true
@@ -344,16 +480,14 @@ func (m *MEMSpot) RunHooked(ctx context.Context, hook func(*MEMSpot) error) (MEM
 		}
 		if hook != nil && m.now >= m.nextDTM {
 			if err := hook(m); err != nil {
-				m.res.Seconds = m.now
-				return m.res, err
+				return m.result(), err
 			}
 		}
 		if err := m.step(); err != nil {
-			return m.res, err
+			return m.result(), err
 		}
 	}
-	m.res.Seconds = m.now
-	return m.res, nil
+	return m.result(), nil
 }
 
 // step advances one window.
@@ -363,7 +497,7 @@ func (m *MEMSpot) step() error {
 
 	// DTM decision.
 	if m.now >= m.nextDTM {
-		ambR, dramR := m.model.HottestAMB(), m.model.HottestDRAM()
+		ambR, dramR := m.topAMB, m.topDRAM
 		if m.sensor != nil {
 			ambR, dramR = m.sensor.Read(ambR), m.sensor.Read(dramR)
 		}
@@ -372,9 +506,9 @@ func (m *MEMSpot) step() error {
 			m.res.Overshoots++
 		}
 		m.hot = over
-		m.act = m.cfg.Policy.Decide(dtm.Input{
+		m.setAction(m.cfg.Policy.Decide(dtm.Input{
 			AMB: ambR, DRAM: dramR, Now: m.now, Dt: m.cfg.DTMIntervalS,
-		})
+		}))
 		m.decisions++
 		m.nextDTM += m.cfg.DTMIntervalS
 		overheadThisWindow = m.cfg.DTMOverheadS
@@ -385,41 +519,15 @@ func (m *MEMSpot) step() error {
 		m.nextRot += m.cfg.RotatePeriodS
 	}
 
-	gated := m.gatedSet()
-	freqIdx := m.act.FreqIndex
-	if freqIdx < 0 {
-		freqIdx = 0
-	}
-	if freqIdx >= len(m.cfg.DVFS) {
-		freqIdx = len(m.cfg.DVFS) - 1
-	}
+	freqIdx := m.freqIdx
 	lv := m.cfg.DVFS[freqIdx]
 
 	// Running combination → design point → rates.
-	names := m.namesBuf[:0]
-	running := m.runningBuf[:0]
-	for i, j := range m.cores {
-		if j != nil && !gated[i] {
-			names = append(names, j.prof.Name)
-			running = append(running, i)
-		}
+	point, err := m.resolve()
+	if err != nil {
+		return err
 	}
-	m.namesBuf, m.runningBuf = names, running
-	dp := trace.DesignPoint{
-		Apps:      m.canonApps(names),
-		FreqGHz:   lv.FreqGHz,
-		BWCapGBps: m.act.BWCapGBps,
-		MemOff:    m.act.MemOff,
-	}
-	rates := m.lastRates
-	if !m.haveLast || dp != m.lastDP {
-		var err error
-		rates, err = m.store.Get(dp)
-		if err != nil {
-			return err
-		}
-		m.lastDP, m.lastRates, m.haveLast = dp, rates, true
-	}
+	running := point.running
 
 	// Progress and traffic.
 	effWin := win - overheadThisWindow
@@ -428,9 +536,9 @@ func (m *MEMSpot) step() error {
 	}
 	var readG, writeG float64 // GB/s aggregates
 	activity := m.activityBuf[:0]
-	for _, i := range running {
+	for n, i := range running {
 		j := m.cores[i]
-		ar := rates.PerApp[j.prof.Name]
+		ar := point.apps[n]
 		if ar.InstrPerSec <= 0 {
 			continue
 		}
@@ -472,7 +580,7 @@ func (m *MEMSpot) step() error {
 	}
 	m.res.MemEnergyJ += memW * win
 
-	cpuW := m.cpuWatts(lv, len(running))
+	cpuW := m.cpuWatts(len(running))
 	m.res.CPUEnergyJ += cpuW * win
 
 	// Thermal.
@@ -487,22 +595,23 @@ func (m *MEMSpot) step() error {
 			return err
 		}
 	}
-	if a := m.model.HottestAMB(); a > m.res.MaxAMB {
-		m.res.MaxAMB = a
+	m.readHottest()
+	if m.topAMB > m.res.MaxAMB {
+		m.res.MaxAMB = m.topAMB
 	}
-	if d := m.model.HottestDRAM(); d > m.res.MaxDRAM {
-		m.res.MaxDRAM = d
+	if m.topDRAM > m.res.MaxDRAM {
+		m.res.MaxDRAM = m.topDRAM
 	}
 
 	// Residency and traces.
 	if m.act.MemOff {
 		m.res.TimeMemOff += win
 	}
-	m.res.TimeAtCores[len(running)] += win
-	m.res.TimeAtFreq[freqIdx] += win
+	m.atCores[len(running)] += win
+	m.atFreq[freqIdx] += win
 	if m.now >= m.nextRec {
-		m.res.AMBTrace = append(m.res.AMBTrace, m.model.HottestAMB())
-		m.res.DRAMTrace = append(m.res.DRAMTrace, m.model.HottestDRAM())
+		m.res.AMBTrace = append(m.res.AMBTrace, m.topAMB)
+		m.res.DRAMTrace = append(m.res.DRAMTrace, m.topDRAM)
 		m.res.AmbientTrace = append(m.res.AmbientTrace, m.amb.T)
 		m.nextRec += m.cfg.RecordPeriodS
 	}
@@ -513,16 +622,14 @@ func (m *MEMSpot) step() error {
 }
 
 // cpuWatts evaluates Table 4.4 for the current action.
-func (m *MEMSpot) cpuWatts(lv fbconfig.DVFSLevel, runningCores int) float64 {
+func (m *MEMSpot) cpuWatts(runningCores int) float64 {
 	if m.act.MemOff || runningCores == 0 {
 		// Stalled or fully gated processor: HALT power.
 		return m.cfg.CPU.IdleWatt
 	}
 	if m.act.FreqIndex > 0 {
-		return power.CPUWatts(m.cfg.CPU, power.CPUState{
-			ActiveCores: runningCores, TotalCores: len(m.cores),
-			Level: lv, UseDVFS: true,
-		})
+		// The DVFS column does not depend on how many cores run.
+		return m.dvfsWatt[m.freqIdx]
 	}
 	return m.cfg.CPU.ActiveCoresWatt(runningCores)
 }

@@ -238,3 +238,27 @@ func TestNoLimitRuntimeHelper(t *testing.T) {
 		t.Fatal("baseline empty")
 	}
 }
+
+// TestMEMSpotKeyLimits: machines and mixes past what a design-point key
+// describes are refused up front.
+func TestMEMSpotKeyLimits(t *testing.T) {
+	cfg := tinyConfig(t, &dtm.NoLimit{Cores: maxKeyCores + 1})
+	cfg.Params = fbconfig.DefaultSimParams
+	cfg.Params.Cores = maxKeyCores + 1
+	if _, err := NewMEMSpot(cfg, tinyStore()); err == nil {
+		t.Fatalf("%d cores accepted", cfg.Params.Cores)
+	}
+	cfg = tinyConfig(t, &dtm.NoLimit{Cores: 4})
+	apps := make([]string, maxSlots+1)
+	for i := range apps {
+		apps[i] = "swim"
+	}
+	cfg.Mix = workload.Mix{Name: "wide", Apps: apps}
+	if _, err := NewMEMSpot(cfg, tinyStore()); err == nil {
+		t.Fatalf("mix of %d applications accepted", len(apps))
+	}
+	cfg.Mix = workload.Mix{Name: "full", Apps: apps[:maxSlots]}
+	if _, err := NewMEMSpot(cfg, tinyStore()); err != nil {
+		t.Fatalf("mix of %d applications: %v", maxSlots, err)
+	}
+}

@@ -8,10 +8,12 @@
 //
 // What is captured: simulated time and schedule cursors, the thermal
 // state (model + ambient), the batch queue and per-core jobs, the live
-// DTM action and overshoot flag, and the result accumulator. What is
-// deliberately excluded: the hot-loop scratch state (design-point memo,
-// power/gating buffers) — Restore resets it and the next step rebuilds
-// it from the shared deterministic trace store — and the decay caches,
+// DTM action and overshoot flag, and the result accumulator (residency
+// included: Snapshot writes the residency slices into the result's maps
+// and Restore reads them back). What is deliberately excluded: the
+// hot-loop scratch state (power/gating buffers), the run's design-point
+// table — its entries depend only on the shared deterministic trace
+// store, so they stay valid across a Restore — and the decay caches,
 // which self-revalidate (see internal/thermal/snapshot.go).
 //
 // Runs with sensor noise enabled cannot be snapshotted: the sensor's
@@ -74,6 +76,7 @@ func (m *MEMSpot) Snapshot() (*MEMSpotState, error) {
 	if m.sensor != nil {
 		return nil, fmt.Errorf("sim: cannot snapshot a run with sensor noise (RNG state is not restorable)")
 	}
+	m.flushResidency()
 	st := &MEMSpotState{
 		WindowS:   m.cfg.WindowS,
 		Now:       m.now,
@@ -90,8 +93,8 @@ func (m *MEMSpot) Snapshot() (*MEMSpotState, error) {
 		Res:       cloneResult(m.res),
 	}
 	st.Queue = make([]string, len(m.queue))
-	for i, p := range m.queue {
-		st.Queue[i] = p.Name
+	for i, slot := range m.queue {
+		st.Queue[i] = m.profs[slot].Name
 	}
 	st.Cores = make([]JobState, len(m.cores))
 	for i, j := range m.cores {
@@ -118,29 +121,40 @@ func (m *MEMSpot) Restore(st *MEMSpotState) error {
 	if len(st.Cores) != len(m.cores) {
 		return fmt.Errorf("sim: restore with %d cores onto a run with %d", len(st.Cores), len(m.cores))
 	}
-	queue := make([]*workload.Profile, len(st.Queue))
+	for n := range st.Res.TimeAtCores {
+		if n < 0 || n >= len(m.atCores) {
+			return fmt.Errorf("sim: restore with residency at %d running cores onto a run with %d cores", n, len(m.cores))
+		}
+	}
+	for f := range st.Res.TimeAtFreq {
+		if f < 0 || f >= len(m.atFreq) {
+			return fmt.Errorf("sim: restore with residency at DVFS level %d onto a run with %d levels", f, len(m.atFreq))
+		}
+	}
+	queue := make([]uint8, len(st.Queue))
 	for i, name := range st.Queue {
-		p, err := workload.ByName(name)
+		slot, err := m.slotOf(name)
 		if err != nil {
 			return fmt.Errorf("sim: restore queue: %w", err)
 		}
-		queue[i] = p
+		queue[i] = slot
 	}
 	cores := make([]*job, len(st.Cores))
 	for i, js := range st.Cores {
 		if js.Name == "" {
 			continue
 		}
-		p, err := workload.ByName(js.Name)
+		slot, err := m.slotOf(js.Name)
 		if err != nil {
 			return fmt.Errorf("sim: restore core %d: %w", i, err)
 		}
-		cores[i] = &job{prof: p, remaining: js.Remaining, total: js.Total}
+		cores[i] = &job{prof: m.profs[slot], slot: slot, remaining: js.Remaining, total: js.Total}
 	}
 	if err := m.model.Restore(st.Thermal); err != nil {
 		return err
 	}
 	m.amb.Restore(st.Ambient)
+	m.readHottest()
 
 	m.queue = queue
 	m.cores = cores
@@ -151,17 +165,36 @@ func (m *MEMSpot) Restore(st *MEMSpotState) error {
 	m.rot = st.Rot
 	m.steps = st.Steps
 	m.decisions = st.Decisions
-	m.act = st.Act
+	m.setAction(st.Act)
 	m.hot = st.Hot
 	m.res = cloneResult(st.Res)
-
-	// Drop the hot-loop memo: the next step re-resolves its design point
-	// from the shared store, which is deterministic, so the resumed run
-	// sees the identical rates a never-checkpointed run would.
-	m.haveLast = false
-	m.lastNames = m.lastNames[:0]
-	m.lastApps = ""
+	m.slotsStale = true
+	for n := range m.atCores {
+		m.atCores[n] = m.res.TimeAtCores[n]
+	}
+	for f := range m.atFreq {
+		m.atFreq[f] = m.res.TimeAtFreq[f]
+	}
 	return nil
+}
+
+// slotOf returns the profile slot of the named application, giving a
+// profile outside the run's mix a new slot.
+func (m *MEMSpot) slotOf(name string) (uint8, error) {
+	for slot, p := range m.profs {
+		if p.Name == name {
+			return uint8(slot), nil
+		}
+	}
+	p, err := workload.ByName(name)
+	if err != nil {
+		return 0, err
+	}
+	if len(m.profs) >= maxSlots {
+		return 0, fmt.Errorf("sim: %s needs a profile slot past the level-2 limit of %d", name, maxSlots)
+	}
+	m.profs = append(m.profs, p)
+	return uint8(len(m.profs) - 1), nil
 }
 
 // Digest returns the canonical digest of the state: SHA-256 over its

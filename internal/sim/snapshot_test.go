@@ -2,10 +2,12 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"dramtherm/internal/dtm"
+	"dramtherm/internal/fbconfig"
 )
 
 // TestSnapshotResumeBitIdentical is the package-level statement of the
@@ -144,5 +146,67 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if err := other.Restore(st); err != nil {
 		t.Fatalf("clean restore rejected: %v", err)
+	}
+}
+
+// TestRestoreResidencyValidation: residency outside the run's core count
+// or DVFS table is refused before any state changes.
+func TestRestoreResidencyValidation(t *testing.T) {
+	ms, err := NewMEMSpot(tinyConfig(t, &dtm.NoLimit{Cores: 4}), tinyStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ms.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]MEMSpotResult{
+		"cores": {TimeAtCores: map[int]float64{5: 1}},
+		"freq":  {TimeAtFreq: map[int]float64{len(fbconfig.DTMDVFS): 1}},
+	} {
+		bad := *st
+		bad.Res = res
+		if err := ms.Restore(&bad); err == nil {
+			t.Errorf("%s: out-of-range residency accepted", name)
+		}
+	}
+	if got := fmt.Sprint(ms.Now(), ms.StepsTaken()); got != "0 0" {
+		t.Fatalf("refused restore moved the run to %s", got)
+	}
+}
+
+// TestRestoreForeignProfile: a snapshot may carry applications outside
+// the run's mix; Restore gives them profile slots of their own and the
+// run continues on them.
+func TestRestoreForeignProfile(t *testing.T) {
+	ms, err := NewMEMSpot(tinyConfig(t, &dtm.NoLimit{Cores: 4}), tinyStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ms.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *st
+	bad.Cores = append([]JobState(nil), st.Cores...)
+	bad.Cores[0].Name = "nosuch"
+	if err := ms.Restore(&bad); err == nil {
+		t.Fatal("unknown application accepted")
+	}
+	foreign := *st
+	foreign.Cores = append([]JobState(nil), st.Cores...)
+	foreign.Cores[1].Name = "art" // a W2 application on a W1 run
+	if err := ms.Restore(&foreign); err != nil {
+		t.Fatal(err)
+	}
+	if err := ms.StepWindow(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := ms.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Cores[1].Name != "art" || after.Cores[1].Remaining >= foreign.Cores[1].Remaining {
+		t.Fatalf("core 1 after a window: %+v, restored %+v", after.Cores[1], foreign.Cores[1])
 	}
 }

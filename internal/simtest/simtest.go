@@ -1,6 +1,6 @@
 // Package simtest is the differential test harness guarding the
 // simulator fast path. The hot loop (cached decay factors in
-// internal/thermal, reused buffers and the design-point memo in
+// internal/thermal, reused buffers and the design-point table in
 // internal/sim, the boxing-free completion heap in internal/memctrl)
 // is an optimization of a retained reference path — package-level
 // thermal.Step / Model.AdvanceExact — and this package provides the

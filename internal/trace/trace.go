@@ -253,7 +253,10 @@ func (s *Store) Len() int {
 	return len(s.recs)
 }
 
-// Counts returns how many records were built vs. served from memo.
+// Counts returns how many records were built vs. served from memo. A
+// MEMSpot run resolves each distinct design point it meets through Get
+// once and keeps the record for the rest of the run, so hits count
+// design-point resolutions per run, not simulation windows.
 func (s *Store) Counts() (builds, hits int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
